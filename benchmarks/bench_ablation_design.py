@@ -107,7 +107,7 @@ def test_ablation_scheduling(run_once):
         set_iteration_priorities(g2)
         it = simulate(g2, machine, auto_priorities=False).makespan
         g3 = build_cholesky_graph(N, B, dist)
-        sync = simulate(g3, machine, synchronized=True).makespan
+        sync = simulate(g3, machine, scheduler="fork-join").makespan
         return cp, it, sync
 
     cp, it, sync = run_once(runs)

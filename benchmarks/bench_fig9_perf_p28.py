@@ -3,8 +3,9 @@
 The paper's central performance figure: per-node GFlop/s versus matrix
 size for the r = 8 case (P = 28), comparing 2DBC (7x4 and 6x5), 2D SBC,
 the 2.5D variants (c = 3 slices), and the COnfCHOX baseline (P = 32,
-which we model as a synchronized block-cyclic execution — its static
-fork-join schedule is what the paper identifies as its handicap).
+which we model as block-cyclic under the ``fork-join`` scheduler
+policy — its static fork-join schedule is what the paper identifies as
+its handicap).
 
 Matrix sizes are scaled to keep the Python DES tractable (the paper goes
 to n = 300000 = 36M tasks); REPRO_FULL extends the sweep.  The figure's
@@ -35,7 +36,7 @@ def configs():
         ("2.5D BC c=3", 27,
          lambda N: build_cholesky_graph_25d(N, B, TwoDotFiveD(BlockCyclic2D(3, 3), 3)), {}),
         ("COnfCHOX 8x4", 32, lambda N: build_cholesky_graph(N, B, BlockCyclic2D(8, 4)),
-         {"synchronized": True}),
+         {"scheduler": "fork-join"}),
     ]
 
 

@@ -19,7 +19,7 @@ imports, no execution):
   order-sensitive sink (``append``/``heappush``/hash ``update``/...),
   a determinism hazard for the two-engine bit-equality contract.
 * ``FLOW-NPOVF`` — ``int32``/``uint32`` index arithmetic in the
-  compiled-graph and kernel hot paths that can overflow at paper scale
+  compiled-graph and serve-loop hot paths that can overflow at paper scale
   (N = 1000 means ~1.7e8 tasks; a pair key ``id * num_nodes`` must be
   widened to ``int64`` first).
 
@@ -84,7 +84,6 @@ _ORDER_SINKS = {
 #: Files where FLOW-NPOVF applies (int32 index hot paths).
 NPOVF_FILES = (
     "graph/compiled.py",
-    "runtime/simulator/_kernel.py",
     "runtime/simulator/fast_engine.py",
 )
 

@@ -218,7 +218,6 @@ def simulate_cholesky(
     dist=None,
     dist25: Optional[TwoDotFiveD] = None,
     machine: Optional[MachineSpec] = None,
-    synchronized: bool = False,
     broadcast: str = "direct",
     aggregate: bool = False,
     trace: bool = False,
@@ -250,7 +249,6 @@ def simulate_cholesky(
     report = simulate(
         graph,
         machine,
-        synchronized=synchronized,
         broadcast=broadcast,
         aggregate=aggregate,
         trace=trace or trace_path is not None,

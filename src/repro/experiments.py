@@ -80,7 +80,7 @@ def fig9_performance(
         ("2.5D SBC c=3", 24,
          TwoDotFiveD(SymmetricBlockCyclic(4, variant="basic"), 3), {}),
         ("2.5D BC c=3", 27, TwoDotFiveD(BlockCyclic2D(3, 3), 3), {}),
-        ("COnfCHOX-like", 32, BlockCyclic2D(8, 4), {"synchronized": True}),
+        ("COnfCHOX-like", 32, BlockCyclic2D(8, 4), {"policy": "fork-join"}),
     ]
     specs = [
         JobSpec.make(algorithm="cholesky", ntiles=N, b=b, dist=dist,

@@ -8,10 +8,10 @@ Models the execution environment of the paper's experiments:
 * data produced on one node and read on another travels as one eager
   point-to-point message per (version, destination), overlapped with
   computation (§V-C: communications are asynchronous and per-tile);
-* optional ``synchronized`` mode withholds tasks of iteration ``k`` until
-  every task of iteration ``k-1`` has completed — the static fork-join
-  behaviour of classical MPI implementations, used as the COnfCHOX-style
-  baseline.
+* a scheduler plan that sets ``synchronized`` (the ``"fork-join"``
+  policy) withholds tasks of iteration ``k`` until every task of
+  iteration ``k-1`` has completed — the static fork-join behaviour of
+  classical MPI implementations, used as the COnfCHOX-style baseline.
 
 The simulated transferred bytes are, by construction, exactly the volume
 reported by :func:`repro.comm.count_communications` on the same graph;
@@ -120,7 +120,6 @@ class _NodeState:
 def simulate(
     graph: TaskGraph,
     machine: MachineSpec,
-    synchronized: bool = False,
     duration_fn: Optional[Callable[[Task], float]] = None,
     auto_priorities: bool = True,
     trace: bool = False,
@@ -184,6 +183,7 @@ def simulate(
             duration_fn = lambda t: kernel.duration(t.flops, b)  # noqa: E731
 
     queue = None
+    synchronized = False
     saved_nodes: Optional[list[int]] = None
     saved_prios: Optional[list[float]] = None
     if scheduler is not None:
@@ -191,7 +191,7 @@ def simulate(
 
         policy = get_policy(scheduler)
         splan = policy.plan(ObjectGraphView(graph, machine, duration_fn))
-        synchronized = synchronized or splan.synchronized
+        synchronized = splan.synchronized
         if splan.priorities is not None:
             prios = list(splan.priorities)
             if len(prios) != len(graph.tasks):

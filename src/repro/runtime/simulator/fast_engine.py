@@ -19,12 +19,13 @@ the loop:
   arrays — boxed-number-free storage (8 bytes per entry instead of a
   pointer to a boxed number each) without duplicating the buffers.
 
-For the lean configuration (direct broadcast, untraced, unsynchronized,
-fault-free, default queue) the serve loop also exists as a flat-array
-kernel in :mod:`._kernel`, numba-compiled when available and selected
-with ``simulate_compiled(..., kernel="auto"|"jit")``; the loop in this
-module is the always-available fallback and the reference for the
-kernel's equality tests.
+The event loop comes in two variants over the same lowered state.  The
+lean one serves the common configuration (no trace, no iteration
+barriers, no faults, default ready queue, no topology) with the ready
+path inlined, since it runs once per task at paper scale.  The general
+one handles every option, and each feature (dead-node parking, slowdown
+accounting, trace recording, barrier holds) is written once, in the
+``enqueue_ready`` closure.
 
 The transcription is deliberately statement-by-statement faithful to the
 object engine, including the order in which events are pushed (the heap
@@ -59,7 +60,6 @@ __all__ = ["simulate_compiled"]
 def simulate_compiled(
     cg: CompiledGraph,
     machine: MachineSpec,
-    synchronized: bool = False,
     durations: Optional[np.ndarray] = None,
     auto_priorities: bool = True,
     trace: bool = False,
@@ -68,38 +68,22 @@ def simulate_compiled(
     recorder: Optional[Recorder] = None,
     faults: Optional[FaultPlan] = None,
     scheduler=None,
-    kernel: str = "auto",
 ) -> SimReport:
     """Simulate a compiled graph on ``machine``.
 
     Accepts the same options as the object engine's ``simulate`` except
     that custom task durations are passed as a per-task array
     (``durations``) rather than a callable.  Returns the same
-    :class:`SimReport`.
-
-    ``kernel`` selects the implementation of the inner serve loop:
-
-    * ``"numpy"`` — the pure-Python/numpy event loop below (always
-      available, always tested);
-    * ``"jit"`` — the numba-compiled flat-array kernel
-      (:mod:`repro.runtime.simulator._kernel`); raises if numba is not
-      installed or the run needs features the kernel does not cover
-      (trace, ``synchronized``, faults, tree broadcast, aggregation,
-      custom ready queues);
-    * ``"interp"`` — the same flat-array kernel run uncompiled: slow,
-      but lets the suite pin the kernel's event ordering without numba;
-    * ``"auto"`` (default) — ``"jit"`` when numba is importable and the
-      run is kernel-eligible, else ``"numpy"``.
-
-    All kernels produce bit-identical makespan/bytes/messages (asserted
-    against the object engine in ``tests/test_compiled_engine.py``).
+    :class:`SimReport`, with bit-identical makespan/bytes/messages
+    (asserted in ``tests/test_compiled_engine.py``).
 
     ``scheduler`` names a policy from :data:`repro.schedulers.POLICIES`
     (or passes a ``SchedulerInterface`` instance).  Plans are applied to
     a copy of ``cg`` — the caller's priority/placement columns are never
     mutated — and ``scheduler=None`` / ``"critical-path"`` leaves every
     native code path untouched, so default runs stay bit-exact with the
-    object engine.
+    object engine.  Iteration barriers come only from a plan that sets
+    ``synchronized`` (the ``"fork-join"`` policy).
 
     A :class:`repro.runtime.faults.FaultPlan` produces bit-identical
     makespan/bytes/messages to the object engine under the same plan
@@ -116,8 +100,6 @@ def simulate_compiled(
         raise ValueError(
             f"graph uses {cg.nodes_used()} nodes but machine has {machine.nodes}"
         )
-    if kernel not in ("auto", "numpy", "jit", "interp"):
-        raise ValueError(f"unknown kernel {kernel!r}")
     num_nodes = machine.nodes
     if durations is None:
         mkern = machine.kernel
@@ -139,12 +121,13 @@ def simulate_compiled(
     # untouched, so a later default run of the same graph still triggers
     # its own auto-priority sweep.
     cqueue = None
+    synchronized = False
     if scheduler is not None:
         from ...schedulers import CompiledGraphView, get_policy
 
         policy = get_policy(scheduler)
         splan = policy.plan(CompiledGraphView(cg, machine, durations))
-        synchronized = synchronized or splan.synchronized
+        synchronized = splan.synchronized
         if splan.assignment is not None:
             asg = np.ascontiguousarray(splan.assignment, dtype=cg.node.dtype)
             if asg.shape != (n_tasks,):
@@ -179,36 +162,6 @@ def simulate_compiled(
     plan = cg.comm_plan()
     ctopo = (machine.topology.compiled()
              if machine.topology is not None else None)
-
-    # --- kernel dispatch ----------------------------------------------------
-    # The flat-array kernel covers the lean configuration only — exactly
-    # the runs the numpy path below serves with its inlined loop.
-    # Topology runs ARE kernel-eligible: the kernel lowers the routing
-    # tables to flat arrays and walks them with the same float ops as
-    # ``NetworkSim._serve`` (fault hooks stay excluded).
-    want_trace = trace or (recorder is not None and recorder.enabled)
-    kernel_ok = (
-        not want_trace
-        and not synchronized
-        and faults is None
-        and cqueue is None
-        and broadcast == "direct"
-        and not aggregate
-    )
-    if kernel in ("jit", "interp"):
-        if not kernel_ok:
-            raise ValueError(
-                f"kernel={kernel!r} supports only direct-broadcast, "
-                "untraced, unsynchronized, fault-free runs with the "
-                "default ready queue; use kernel='numpy' (or 'auto') "
-                "for this configuration"
-            )
-        return _run_kernel(cg, machine, plan, durations, kernel)
-    if kernel == "auto" and kernel_ok:
-        from . import _kernel as _k
-
-        if _k.numba_available():
-            return _run_kernel(cg, machine, plan, durations, "jit")
 
     # --- lowered per-run state ---------------------------------------------
     # ``bytes``/``bytearray`` columns index ~as fast as lists but without a
@@ -524,10 +477,10 @@ def simulate_compiled(
     # The loop allocates only acyclic temporaries (event tuples, chunks),
     # reclaimed by refcounting; with tens of millions of live ints in the
     # lowered lists, letting the cyclic collector run full passes here
-    # costs more than the whole event loop.  The two ``enqueue_ready``
-    # call sites below are inlined copies of the function above — the
-    # call itself (and the closure-cell reloads it forces) is measurable
-    # at ten million calls.
+    # costs more than the whole event loop.  The general loop calls
+    # ``enqueue_ready``; the lean loop inlines its two call sites, since
+    # the call itself (and the closure-cell reloads it forces) is
+    # measurable at ten million calls.
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
@@ -590,57 +543,8 @@ def simulate_compiled(
                                         else lc_ids[a:b]):
                                 m = missing[tid] - 1
                                 missing[tid] = m
-                                if m == 0:  # inlined enqueue_ready(tid, now)
-                                    if trace:
-                                        ready_time[tid] = now
-                                    if synchronized and ipos[tid] > released_idx:
-                                        iter_blocked[ipos[tid]].append(tid)
-                                        continue
-                                    n2 = node_l[tid]
-                                    if dead is not None and dead[n2]:
-                                        if cqueue is not None:
-                                            cqueue.push(n2, tid, prio_l[tid])
-                                            continue
-                                        np_ = negprio_l[tid]
-                                        bq2 = buckets[n2]
-                                        b3 = bq2.get(np_)
-                                        if b3 is None:
-                                            bq2[np_] = deque((tid,))
-                                            heappush(pheap[n2], np_)
-                                        else:
-                                            b3.append(tid)
-                                        continue
-                                    if free[n2] > 0:
-                                        free[n2] -= 1
-                                        dur = dur_l[tid]
-                                        if fault_slow:
-                                            dur *= faults.compute_factor(n2, now)
-                                            busy_acc[n2] += dur
-                                            tbk_acc[kind_l[tid]] += dur
-                                        if trace:
-                                            rec.record_task(
-                                                tid, kind_names[kind_l[tid]], n2,
-                                                now, now, now + dur, cg.flops[tid])
-                                        seq += 1
-                                        heappush(events, (now + dur, seq, 0, tid))
-                                    else:
-                                        if cqueue is not None:
-                                            cqueue.push(n2, tid, prio_l[tid])
-                                        else:
-                                            np_ = negprio_l[tid]
-                                            bq = buckets[n2]
-                                            b3 = bq.get(np_)
-                                            if b3 is None:
-                                                bq[np_] = deque((tid,))
-                                                heappush(pheap[n2], np_)
-                                            else:
-                                                b3.append(tid)
-                                        if trace:
-                                            qlen[n2] += 1
-                                            rec.metrics.gauge(
-                                                "queue.depth.max",
-                                                "peak ready-queue depth per node",
-                                            ).set_max(qlen[n2], labels=(n2,))
+                                if m == 0:
+                                    enqueue_ready(tid, now)
                         if has_remote[d]:
                             request_transfers(d, n, now)
                     if synchronized:
@@ -766,57 +670,7 @@ def simulate_compiled(
                             # never read the counters, and the relative order
                             # of the newly-ready tasks is the slice order.
                             for tid in ready_iter:
-                                # inlined enqueue_ready(tid, end)
-                                if trace:
-                                    ready_time[tid] = end
-                                if synchronized and ipos[tid] > released_idx:
-                                    iter_blocked[ipos[tid]].append(tid)
-                                    continue
-                                n2 = node_l[tid]
-                                if dead is not None and dead[n2]:
-                                    if cqueue is not None:
-                                        cqueue.push(n2, tid, prio_l[tid])
-                                        continue
-                                    np_ = negprio_l[tid]
-                                    bq2 = buckets[n2]
-                                    b3 = bq2.get(np_)
-                                    if b3 is None:
-                                        bq2[np_] = deque((tid,))
-                                        heappush(pheap[n2], np_)
-                                    else:
-                                        b3.append(tid)
-                                    continue
-                                if free[n2] > 0:
-                                    free[n2] -= 1
-                                    dur = dur_l[tid]
-                                    if fault_slow:
-                                        dur *= faults.compute_factor(n2, end)
-                                        busy_acc[n2] += dur
-                                        tbk_acc[kind_l[tid]] += dur
-                                    if trace:
-                                        rec.record_task(
-                                            tid, kind_names[kind_l[tid]], n2,
-                                            end, end, end + dur, cg.flops[tid])
-                                    seq += 1
-                                    heappush(events, (end + dur, seq, 0, tid))
-                                else:
-                                    if cqueue is not None:
-                                        cqueue.push(n2, tid, prio_l[tid])
-                                    else:
-                                        np_ = negprio_l[tid]
-                                        bq = buckets[n2]
-                                        b3 = bq.get(np_)
-                                        if b3 is None:
-                                            bq[np_] = deque((tid,))
-                                            heappush(pheap[n2], np_)
-                                        else:
-                                            b3.append(tid)
-                                    if trace:
-                                        qlen[n2] += 1
-                                        rec.metrics.gauge(
-                                            "queue.depth.max",
-                                            "peak ready-queue depth per node",
-                                        ).set_max(qlen[n2], labels=(n2,))
+                                enqueue_ready(tid, end)
                         for child in tree_children.pop((d, dst), ()):
                             _send(
                                 d,
@@ -1038,177 +892,3 @@ def simulate_compiled(
         obs=rec if trace else None,
     )
 
-
-def _run_kernel(
-    cg: CompiledGraph,
-    machine: MachineSpec,
-    plan,
-    durations: np.ndarray,
-    kernel: str,
-) -> SimReport:
-    """Run the lean event loop via :mod:`._kernel` and build the report.
-
-    ``kernel`` is the resolved mode: ``"jit"`` (numba-compiled) or
-    ``"interp"`` (same source, uncompiled).  Eligibility was checked by
-    the caller; priorities and the comm plan are already final.
-    """
-    from . import _kernel
-
-    n_tasks = cg.n_tasks
-    num_nodes = machine.nodes
-    n_pairs = len(plan.pair_dst)
-    n_data = len(cg.data_nbytes)
-
-    # Source node per data id: the producing task's node, or the declared
-    # home for initial data — exactly the ``src`` the numpy path hands
-    # ``request_transfers`` (correct under scheduler reassignment too,
-    # since ``cg.node`` here is the reassigned column).
-    src_of_data = np.zeros(n_data, dtype=np.int64)
-    wmask = cg.write_id >= 0
-    src_of_data[cg.write_id[wmask]] = cg.node[wmask]
-    for d, home in plan.initial_sources:
-        src_of_data[d] = home
-    pair_src = src_of_data[plan.pair_data]
-    pair_nbytes = cg.data_nbytes[plan.pair_data].astype(np.int64, copy=False)
-
-    # Per-pair transfer priority: max over the waiting tasks (same
-    # reduceat as the numpy path's lowering).
-    if n_pairs:
-        starts = plan.pair_rn_start
-        order = np.argsort(starts, kind="stable")
-        red = np.maximum.reduceat(cg.priority[plan.rn_ids], starts[order])
-        pair_prio = np.empty(n_pairs, dtype=np.float64)
-        pair_prio[order] = red
-    else:
-        pair_prio = np.zeros(0, dtype=np.float64)
-
-    # Misplaced initial data kicks off its transfers at t = 0, pairs in
-    # CSR order per data — the numpy path's kick-off sequence.
-    init: list[int] = []
-    kd_ptr = plan.kd_ptr
-    for d, _home in plan.initial_sources:
-        init.extend(range(int(kd_ptr[d]), int(kd_ptr[d + 1])))
-    init_pairs = np.asarray(init, dtype=np.int64)
-
-    dur = np.ascontiguousarray(durations, dtype=np.float64)
-    negprio = np.negative(cg.priority)
-    missing = plan.missing.astype(np.int32)  # private copy, mutated
-
-    cores_arr = np.asarray(
-        [machine.cores_for(i) for i in range(num_nodes)], dtype=np.int64
-    )
-
-    # --- topology lowering --------------------------------------------------
-    # The compiled routing tables are indexed (src, dst); the kernel works
-    # per transfer pair, so gather each pair's route into its own CSR slice
-    # (and its route latency) once, here, instead of per quantum.
-    ctopo = (machine.topology.compiled()
-             if machine.topology is not None else None)
-    if ctopo is None:
-        topo_on = 0
-        tp_lat = np.zeros(0, dtype=np.float64)
-        tp_ptr = np.zeros(1, dtype=np.int64)
-        tp_eid = np.zeros(0, dtype=np.int64)
-        edge_bw = np.zeros(0, dtype=np.float64)
-        edge_sw = np.zeros(0, dtype=np.int64)
-        sw_bw = np.zeros(0, dtype=np.float64)
-    else:
-        topo_on = 1
-        ta = ctopo.as_arrays()
-        edge_bw = ta["edge_bw"]
-        edge_sw = ta["edge_sw"]
-        sw_bw = ta["switch_bw"]
-        pidx = pair_src.astype(np.int64) * num_nodes \
-            + plan.pair_dst.astype(np.int64)
-        tp_lat = ta["pair_lat"][pidx]
-        starts64 = ta["path_ptr"][pidx]
-        counts = ta["path_ptr"][pidx + 1] - starts64
-        tp_ptr = np.zeros(n_pairs + 1, dtype=np.int64)
-        np.cumsum(counts, out=tp_ptr[1:])
-        total = int(tp_ptr[-1])
-        if total:
-            # tp_eid[j] for j in [tp_ptr[i], tp_ptr[i+1]) maps to
-            # path_eid[starts64[i] + (j - tp_ptr[i])].
-            off = np.repeat(starts64 - tp_ptr[:-1], counts)
-            tp_eid = ta["path_eid"][np.arange(total, dtype=np.int64) + off]
-        else:
-            tp_eid = np.zeros(0, dtype=np.int64)
-
-    net = NetworkSim(machine.network, num_nodes)
-    if kernel == "jit":
-        try:
-            fn = _kernel.jit_serve_loop()
-        except ImportError as exc:
-            raise RuntimeError(
-                "kernel='jit' requires numba, which is not installed; "
-                "kernel='auto' falls back to the numpy path"
-            ) from exc
-    else:
-        fn = _kernel.serve_loop
-
-    now, total_bytes, total_messages, queued = fn(
-        np.ascontiguousarray(cg.node, dtype=np.int32),
-        dur,
-        negprio,
-        np.ascontiguousarray(cg.write_id, dtype=np.int64),
-        missing,
-        plan.lc_ptr,
-        plan.lc_ids,
-        kd_ptr,
-        plan.pair_dst,
-        pair_prio,
-        pair_nbytes,
-        np.ascontiguousarray(pair_src, dtype=np.int64),
-        plan.pair_rn_start,
-        plan.pair_rn_count,
-        plan.rn_ids,
-        init_pairs,
-        num_nodes,
-        cores_arr,
-        int(net.quantum),
-        float(net._bandwidth),
-        float(net._latency),
-        topo_on,
-        tp_lat,
-        tp_ptr,
-        tp_eid,
-        edge_bw,
-        edge_sw,
-        sw_bw,
-    )
-
-    unready = int(np.count_nonzero(missing))
-    queued = int(queued)
-    done = n_tasks - queued - unready
-    if done != n_tasks:
-        raise RuntimeError(
-            f"simulation deadlock: executed {done}/{n_tasks} tasks "
-            f"(0 blocked on barriers)"
-        )
-
-    kind_names = cg.kind_names
-    busy_time = np.bincount(
-        cg.node, weights=durations, minlength=num_nodes
-    ).tolist()
-    counts = np.bincount(cg.kind_codes, minlength=len(kind_names))
-    kt = np.bincount(cg.kind_codes, weights=durations,
-                     minlength=len(kind_names))
-    time_by_kind = {
-        kind_names[c]: float(kt[c])
-        for c in range(len(kind_names))
-        if counts[c]
-    }
-    return SimReport(
-        makespan=float(now),
-        total_flops=cg.total_flops(),
-        num_nodes=machine.nodes,
-        comm_bytes=int(total_bytes),
-        comm_messages=int(total_messages),
-        busy_time=busy_time,
-        time_by_kind=time_by_kind,
-        num_tasks=n_tasks,
-        cores_per_node=machine.cores,
-        trace=None,
-        transfers=None,
-        obs=None,
-    )

@@ -213,10 +213,7 @@ class NetworkSim:
         else:
             # Store-and-forward walk over the pair's static route.  On a
             # uniform single-hop topology every statement reduces to the
-            # scalar branch above (the bit-equality pin for cliques); the
-            # serve-loop kernel transcribes this walk statement for
-            # statement (minus the fault hook, which keeps such runs off
-            # the kernel entirely).
+            # scalar branch above (the bit-equality pin for cliques).
             pi = src * topo.num_nodes + dst
             path_eid = topo.path_eid
             edge_bw = topo.edge_bw

@@ -95,7 +95,6 @@ def _spec_from_args(args: argparse.Namespace) -> JobSpec:
         dist=args.dist,
         machine=machine,
         engine=args.engine,
-        synchronized=args.synchronized,
         broadcast=args.broadcast,
         aggregate=args.aggregate,
         faults=faults,
@@ -135,7 +134,6 @@ def _add_job_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--cores", type=int, default=0)
     p.add_argument("--bandwidth", type=float, default=0.0)
     p.add_argument("--latency", type=float, default=0.0)
-    p.add_argument("--synchronized", action="store_true")
     p.add_argument("--broadcast", choices=["direct", "tree"], default="direct")
     p.add_argument("--policy", default="critical-path", metavar="NAME",
                    help="scheduler policy (see repro.schedulers.POLICIES; "

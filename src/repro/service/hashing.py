@@ -50,7 +50,10 @@ __all__ = [
 #: per-node heterogeneity, ``None`` for the historic clique) — it feeds
 #: the config digest, since topology changes simulated timings but not
 #: the task graph.
-SCHEMA_VERSION = 4
+#: v5: JobSpec lost the ``synchronized`` and ``kernel`` fields (iteration
+#: barriers come only from ``policy="fork-join"``; the compiled engine
+#: has one serve loop) — old entries hashed specs carrying both.
+SCHEMA_VERSION = 5
 
 
 def _h(*parts: bytes) -> str:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Optional, Union
 
 from ..config import KernelModel, MachineSpec, NetworkSpec
@@ -51,12 +51,6 @@ __all__ = [
 #: Algorithms the runner knows how to build graphs for.
 ALGORITHMS = ("cholesky", "lu")
 ENGINES = ("compiled", "object")
-#: Serve-loop kernels of the compiled engine (see
-#: :func:`repro.runtime.simulator.simulate_compiled`).  "auto" resolves
-#: per worker — numba-jitted when importable, numpy otherwise — with
-#: bit-identical results either way, so it is safe inside content-
-#: addressed caching.
-KERNELS = ("auto", "numpy", "jit", "interp")
 
 
 def _policy_names() -> tuple[str, ...]:
@@ -252,7 +246,6 @@ class JobSpec:
     dist: tuple[Any, ...]  # frozen dist spec
     machine: tuple[Any, ...]  # frozen machine spec
     engine: str = "compiled"
-    synchronized: bool = False
     broadcast: str = "direct"
     aggregate: bool = False
     faults: Optional[tuple[Any, ...]] = None
@@ -260,12 +253,9 @@ class JobSpec:
     #: Scheduling policy (a :data:`repro.schedulers.POLICIES` name).  Part
     #: of the config digest — sweeping policies re-simulates each point —
     #: but NOT of the structure hash: policies act at simulation time, the
-    #: built graph is the same.
+    #: built graph is the same.  ``"fork-join"`` is the only way to get
+    #: iteration barriers (the COnfCHOX-like baseline).
     policy: str = "critical-path"
-    #: Compiled-engine serve-loop kernel (one of :data:`KERNELS`).  Like
-    #: ``policy`` it is simulation-time only: part of the config digest,
-    #: not the structure hash.  Ignored by the object engine.
-    kernel: str = "auto"
 
     def __post_init__(self) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -286,10 +276,6 @@ class JobSpec:
                 f"unknown scheduler policy {self.policy!r}; "
                 f"use one of {names}"
             )
-        if self.kernel not in KERNELS:
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; use one of {KERNELS}"
-            )
 
     # -- construction -------------------------------------------------------
 
@@ -302,13 +288,11 @@ class JobSpec:
         dist: Union[Distribution, TwoDotFiveD, Mapping[str, Any]],
         machine: Union[MachineSpec, Mapping[str, Any]],
         engine: str = "compiled",
-        synchronized: bool = False,
         broadcast: str = "direct",
         aggregate: bool = False,
         faults: Union[FaultPlan, Mapping[str, Any], None] = None,
         collect_metrics: bool = False,
         policy: str = "critical-path",
-        kernel: str = "auto",
     ) -> JobSpec:
         """Build a spec from live objects or plain dicts."""
         dspec = dist if isinstance(dist, Mapping) else dist_to_spec(dist)
@@ -323,33 +307,28 @@ class JobSpec:
             dist=_freeze(dspec),
             machine=_freeze(mspec),
             engine=engine,
-            synchronized=bool(synchronized),
             broadcast=broadcast,
             aggregate=bool(aggregate),
             faults=None if fspec is None else _freeze(fspec),
             collect_metrics=bool(collect_metrics),
             policy=policy,
-            kernel=kernel,
         )
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> JobSpec:
-        """Rebuild a spec from :meth:`to_dict` output (JSON data)."""
-        return cls.make(
-            algorithm=d["algorithm"],
-            ntiles=d["ntiles"],
-            b=d["b"],
-            dist=d["dist"],
-            machine=d["machine"],
-            engine=d.get("engine", "compiled"),
-            synchronized=d.get("synchronized", False),
-            broadcast=d.get("broadcast", "direct"),
-            aggregate=d.get("aggregate", False),
-            faults=d.get("faults"),
-            collect_metrics=d.get("collect_metrics", False),
-            policy=d.get("policy", "critical-path"),
-            kernel=d.get("kernel", "auto"),
-        )
+        """Rebuild a spec from :meth:`to_dict` output (JSON data).
+
+        Unknown keys raise ``ValueError`` naming them, so a typo or a
+        field from an older schema (``synchronized``, ``kernel``) fails
+        instead of silently running the defaults.
+        """
+        known = [f.name for f in fields(cls)]
+        unknown = sorted(set(d) - set(known))
+        if unknown:
+            raise ValueError(
+                f"unknown JobSpec field(s) {unknown}; known fields: {known}"
+            )
+        return cls.make(**d)
 
     # -- canonical views ----------------------------------------------------
 
@@ -362,13 +341,11 @@ class JobSpec:
             "dist": _thaw(self.dist),
             "machine": _thaw(self.machine),
             "engine": self.engine,
-            "synchronized": self.synchronized,
             "broadcast": self.broadcast,
             "aggregate": self.aggregate,
             "faults": None if self.faults is None else _thaw(self.faults),
             "collect_metrics": self.collect_metrics,
             "policy": self.policy,
-            "kernel": self.kernel,
         }
 
     def canonical(self) -> str:

@@ -184,13 +184,11 @@ def run_point(spec_dict: Mapping[str, Any]) -> dict[str, Any]:
         checkin = lambda: _checkin_graph(skey, cg)  # noqa: E731
         runner = lambda: simulate_compiled(  # noqa: E731
             cg, machine,
-            synchronized=spec.synchronized,
             broadcast=spec.broadcast,
             aggregate=spec.aggregate,
             recorder=recorder,
             faults=faults,
             scheduler=spec.policy,
-            kernel=spec.kernel,
         )
     else:
         graph = _build_object_graph(spec)
@@ -199,7 +197,6 @@ def run_point(spec_dict: Mapping[str, Any]) -> dict[str, Any]:
         t2 = t1
         runner = lambda: simulate(  # noqa: E731
             graph, machine,
-            synchronized=spec.synchronized,
             broadcast=spec.broadcast,
             aggregate=spec.aggregate,
             recorder=recorder,

@@ -85,7 +85,7 @@ def _check_simulator() -> None:
     m = laptop(nodes=6, cores=2)
     cc = count_communications(g)
     for kwargs in ({}, {"broadcast": "tree"}, {"aggregate": True},
-                   {"synchronized": True}):
+                   {"scheduler": "fork-join"}):
         rep = simulate(g, m, **kwargs)
         assert rep.num_tasks == len(g.tasks), f"lost tasks with {kwargs}"
         assert rep.comm_bytes == cc.total_bytes, f"byte mismatch with {kwargs}"

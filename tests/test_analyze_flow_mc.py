@@ -124,6 +124,17 @@ def test_flow_npovf_scoped_to_hot_files():
     assert flow_module(src, "repro/service/x.py").ok(strict=True)
 
 
+def test_rule_file_lists_name_existing_modules():
+    """A deleted module must not leave a rule silently policing nothing."""
+    from repro.analyze.flow import NPOVF_FILES
+    from repro.analyze.lint import TASK_COMPLETION_MODULES
+
+    src = ROOT / "src"
+    missing = [p for p in NPOVF_FILES if not (src / "repro" / p).is_file()]
+    missing += [p for p in TASK_COMPLETION_MODULES if not (src / p).is_file()]
+    assert not missing, missing
+
+
 # ---------------------------------------------------------------------------
 # MC: seeded deadlock + the certificate machinery
 # ---------------------------------------------------------------------------

@@ -48,12 +48,6 @@ class TestSimulateOptions:
         assert base.comm_bytes == tree.comm_bytes == aggr.comm_bytes
         assert aggr.comm_messages <= base.comm_messages
 
-    def test_synchronized_option(self):
-        d = repro.SymmetricBlockCyclic(4)
-        free = repro.simulate_cholesky(ntiles=16, b=500, dist=d)
-        sync = repro.simulate_cholesky(ntiles=16, b=500, dist=d, synchronized=True)
-        assert sync.makespan >= free.makespan
-
 
 class TestUserProvidedData:
     def _spd(self, n, seed=9):

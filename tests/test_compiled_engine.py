@@ -4,7 +4,7 @@ The array-based engine (:func:`repro.runtime.simulator.simulate_compiled`)
 is a transcription of the object engine, so the bar is *exact* equality
 of makespan, transferred bytes and message count — not approximate
 agreement — across distributions, broadcast modes, aggregation and
-synchronized execution.  Per-node busy time and the per-kind split are
+fork-join (iteration-barrier) execution.  Per-node busy time and the per-kind split are
 summed vectorized (different float-addition order), so those two match to
 rounding only.
 """
@@ -84,12 +84,14 @@ class TestEngineEquality:
 
     @pytest.mark.parametrize("sync", [False, True])
     def test_synchronized_mode_matches(self, sync):
-        """Covers both loop variants (the barrier path is the general one)."""
+        """Covers both loop variants (the barrier path is the general one);
+        barriers come from the fork-join policy."""
         g = build_cholesky_graph(10, 32, SymmetricBlockCyclic(4))
         cg = compile_graph(g)
         m = laptop(nodes=6, cores=2)
-        ref = simulate(g, m, synchronized=sync)
-        fast = simulate_compiled(cg, m, synchronized=sync)
+        scheduler = "fork-join" if sync else None
+        ref = simulate(g, m, scheduler=scheduler)
+        fast = simulate_compiled(cg, m, scheduler=scheduler)
         assert_reports_equal(ref, fast)
 
     @pytest.mark.parametrize("dist", DISTS, ids=lambda d: d.name)
@@ -286,8 +288,8 @@ def _topology_matrix():
 
 
 class TestTopologyEquality:
-    """Routed interconnects and heterogeneity keep the two-engine (and
-    every-kernel) bit-equality contract; a uniform clique topology is
+    """Routed interconnects and heterogeneity keep the two-engine
+    bit-equality contract; a uniform clique topology is
     indistinguishable from no topology at all."""
 
     TOPOLOGIES = _topology_matrix()
@@ -303,12 +305,6 @@ class TestTopologyEquality:
         ref = simulate(g, m)
         fast = simulate_compiled(cg, m)
         assert_reports_equal(ref, fast)
-        kernels = ["interp"] + (["jit"] if _numba_available() else [])
-        for kern in kernels:
-            rep = simulate_compiled(cg, m, kernel=kern)
-            assert rep.makespan == ref.makespan, (topo.kind, kern)
-            assert rep.comm_bytes == ref.comm_bytes, (topo.kind, kern)
-            assert rep.comm_messages == ref.comm_messages, (topo.kind, kern)
 
     def test_uniform_clique_topology_is_bit_identical_to_none(self):
         """topology=clique(P, network.bw, network.lat) must reproduce the
@@ -392,16 +388,16 @@ class TestTopologyEquality:
         assert_reports_equal(ref, fast)
 
     def test_topology_run_with_trace_and_sync(self):
-        """The general (non-kernel) fast-engine loop carries topologies
-        through trace/synchronized modes too."""
+        """The general fast-engine loop carries topologies through trace
+        and fork-join barriers too."""
         from repro.topology import ring
 
         dist = BlockCyclic2D(2, 3)
         g = build_cholesky_graph(10, 32, dist)
         cg = compile_graph(g)
         m = _routed_machine(ring(6, 1e9, 10e-6))
-        ref = simulate(g, m, synchronized=True)
-        fast = simulate_compiled(cg, m, synchronized=True)
+        ref = simulate(g, m, scheduler="fork-join")
+        fast = simulate_compiled(cg, m, scheduler="fork-join")
         assert_reports_equal(ref, fast)
         rep = simulate_compiled(cg, m, trace=True)
         assert rep.trace is not None
@@ -494,14 +490,6 @@ class TestPolicyConformance:
             simulate_compiled(cg, m, scheduler="round-robin")
 
 
-def _numba_available() -> bool:
-    try:
-        import numba  # noqa: F401
-    except ImportError:
-        return False
-    return True
-
-
 #: The streamed-build property sweep: every layout family the direct
 #: compilers accept, including the basic SBC variant.
 STREAM_DISTS = [
@@ -562,97 +550,3 @@ class TestStreamedBuild:
         assert np.all(ends <= len(plan.rn_ids))
         assert np.all(plan.pair_rn_count >= 0)
 
-
-class TestKernelEquality:
-    """Every serve-loop kernel must agree bit-for-bit on the headline
-    numbers: object engine == numpy path == flat-array kernel (interp
-    always; jit when numba is installed — same source either way)."""
-
-    KERNELS = ["interp"] + (["jit"] if _numba_available() else [])
-
-    @pytest.mark.parametrize("dist", STREAM_DISTS, ids=lambda d: d.name)
-    def test_kernels_match_object_engine(self, dist):
-        g = build_cholesky_graph(12, 32, dist)
-        m = laptop(nodes=dist.num_nodes, cores=2)
-        ref = simulate(g, m)
-        base = simulate_compiled(compile_cholesky(12, 32, dist), m,
-                                 kernel="numpy")
-        assert_reports_equal(ref, base)
-        for kern in self.KERNELS:
-            rep = simulate_compiled(compile_cholesky(12, 32, dist), m,
-                                    kernel=kern)
-            assert rep.makespan == base.makespan, kern
-            assert rep.comm_bytes == base.comm_bytes, kern
-            assert rep.comm_messages == base.comm_messages, kern
-            assert rep.busy_time == base.busy_time, kern
-            assert rep.time_by_kind == base.time_by_kind, kern
-
-    def test_kernel_handles_initial_transfers(self):
-        """Reassignment makes initial tiles remote — the kernel's t = 0
-        kick-off path must match the numpy path's event order exactly."""
-        dist = SymmetricBlockCyclic(4)
-        g = build_cholesky_graph(8, 32, dist)
-        m = laptop(nodes=dist.num_nodes, cores=2)
-        base = compile_graph(g)
-        asg = ((base.node.astype(np.int64) + 1) % m.nodes).astype(
-            base.node.dtype)
-        ref = simulate_compiled(compile_graph(g).reassigned(asg), m,
-                                kernel="numpy")
-        for kern in self.KERNELS:
-            cg = compile_graph(g).reassigned(asg)
-            assert len(cg.comm_plan().initial_sources) > 0
-            rep = simulate_compiled(cg, m, kernel=kern)
-            assert rep.makespan == ref.makespan, kern
-            assert rep.comm_bytes == ref.comm_bytes, kern
-            assert rep.comm_messages == ref.comm_messages, kern
-
-    def test_kernel_with_custom_durations(self):
-        cg = compile_cholesky(8, 32, BlockCyclic2D(2, 2))
-        m = laptop(nodes=4, cores=2)
-        rng = np.random.default_rng(3)
-        dur = rng.uniform(0.5, 2.0, size=cg.n_tasks)
-        ref = simulate_compiled(compile_cholesky(8, 32, BlockCyclic2D(2, 2)),
-                                m, durations=dur, kernel="numpy")
-        rep = simulate_compiled(cg, m, durations=dur, kernel="interp")
-        assert rep.makespan == ref.makespan
-        assert rep.comm_messages == ref.comm_messages
-
-    def test_auto_matches_numpy(self):
-        """'auto' resolves per machine (jit with numba, numpy without) but
-        never changes results."""
-        dist = SymmetricBlockCyclic(4)
-        m = laptop(nodes=dist.num_nodes, cores=2)
-        ref = simulate_compiled(compile_cholesky(10, 32, dist), m,
-                                kernel="numpy")
-        rep = simulate_compiled(compile_cholesky(10, 32, dist), m,
-                                kernel="auto")
-        assert rep.makespan == ref.makespan
-        assert rep.comm_bytes == ref.comm_bytes
-        assert rep.comm_messages == ref.comm_messages
-
-    @pytest.mark.parametrize("opts", [
-        {"trace": True},
-        {"synchronized": True},
-        {"broadcast": "tree"},
-        {"aggregate": True},
-    ], ids=lambda o: next(iter(o)))
-    def test_kernel_rejects_unsupported_options(self, opts):
-        cg = compile_cholesky(6, 32, BlockCyclic2D(2, 2))
-        m = laptop(nodes=4, cores=2)
-        with pytest.raises(ValueError, match="kernel"):
-            simulate_compiled(cg, m, kernel="interp", **opts)
-        # 'auto' silently falls back to the numpy path instead.
-        rep = simulate_compiled(cg, m, kernel="auto", **opts)
-        assert rep.makespan > 0
-
-    def test_unknown_kernel_rejected(self):
-        cg = compile_cholesky(4, 32, BlockCyclic2D(2, 2))
-        with pytest.raises(ValueError, match="unknown kernel"):
-            simulate_compiled(cg, laptop(nodes=4, cores=2), kernel="cython")
-
-    @pytest.mark.skipif(_numba_available(),
-                        reason="numba installed: jit is expected to work")
-    def test_jit_without_numba_raises(self):
-        cg = compile_cholesky(4, 32, BlockCyclic2D(2, 2))
-        with pytest.raises(RuntimeError, match="numba"):
-            simulate_compiled(cg, laptop(nodes=4, cores=2), kernel="jit")

@@ -126,12 +126,6 @@ class TestRegistry:
         migrating = {n for n, c in POLICIES.items() if c.migrates}
         assert migrating == {"heft-lookahead"}
 
-    def test_fork_join_equals_synchronized_flag(self):
-        g = build_cholesky_graph(N, B, DIST)
-        m = laptop(nodes=DIST.num_nodes, cores=2)
-        assert (simulate(g, m, scheduler="fork-join").makespan
-                == simulate(g, m, synchronized=True).makespan)
-
     def test_bad_priority_length_rejected(self):
         class Short(SchedulerInterface):
             name = "short"

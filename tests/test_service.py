@@ -17,6 +17,7 @@ The load-bearing guarantees of ``repro.service`` (see ``docs/service.md``):
 from __future__ import annotations
 
 import asyncio
+import http.client
 import json
 import threading
 
@@ -145,7 +146,6 @@ def test_every_field_change_changes_the_hash():
         "dist.kind": spec(dist=BlockCyclic2D(1, 2)),
         "algorithm": spec(algorithm="lu"),
         "engine": spec(engine="object"),
-        "synchronized": spec(synchronized=True),
         "broadcast": spec(broadcast="tree"),
         "aggregate": spec(aggregate=True),
         "collect_metrics": spec(collect_metrics=True),
@@ -180,7 +180,7 @@ def test_every_field_change_changes_the_hash():
     for name in ("ntiles", "b", "dist.r", "dist.variant", "dist.kind",
                  "algorithm", "machine.element_size"):
         assert structure_key(variants[name]) != structure_key(base), name
-    for name in ("engine", "synchronized", "broadcast", "faults.seed",
+    for name in ("engine", "broadcast", "faults.seed",
                  "machine.bandwidth", "machine.latency", "policy"):
         assert structure_key(variants[name]) == structure_key(base), name
 
@@ -220,13 +220,15 @@ def test_structure_hash_ignores_kind_registration_order():
     assert structure_hash(flipped) != structure_hash(cg)
 
 
-def test_kernel_field_rotates_config_but_not_structure():
-    base = spec()
-    explicit = spec(kernel="numpy")
-    assert config_digest(explicit) != config_digest(base)
-    assert structure_key(explicit) == structure_key(base)
-    with pytest.raises(ValueError, match="kernel"):
-        spec(kernel="cython")
+@pytest.mark.parametrize("key", ["synchronized", "kernel", "polcy"])
+def test_from_dict_rejects_unknown_fields(key):
+    """Removed fields and typos fail loudly instead of silently running
+    the defaults (``{"polcy": "fork-join"}`` used to run critical-path)."""
+    d = dict(spec().to_dict(), **{key: "fork-join" if key == "polcy" else True})
+    with pytest.raises(ValueError, match=key):
+        JobSpec.from_dict(d)
+    with pytest.raises(ValueError, match=key):
+        spec().with_(**{key: True})
 
 
 # --------------------------------------------------------------------------
@@ -466,6 +468,14 @@ def test_cli_submit_twice_is_cache_hit(tmp_path, capsys):
     assert "makespan_seconds:" in out
 
 
+def test_cli_rejects_removed_synchronized_flag(tmp_path):
+    """Barriers come from ``--policy fork-join``; the old flag is gone."""
+    with pytest.raises(SystemExit) as exc:
+        service_main(["submit", "--store", str(tmp_path / "store"),
+                      "--dist", "sbc:r=2", "--synchronized"])
+    assert exc.value.code == 2
+
+
 def test_cli_status_and_result(tmp_path, capsys):
     store = str(tmp_path / "store")
     job = ["--dist", "sbc:r=2", "--ntiles", str(NT), "--b", str(B)]
@@ -505,6 +515,15 @@ def test_http_round_trip(tmp_path):
             record = client.result_by_hash(cold.hash)
             assert record["status"] == "ok"
             assert client.result_by_hash("deadbeef") is None
+        conn = http.client.HTTPConnection("127.0.0.1", svc.port, timeout=10)
+        try:
+            bad = dict(spec().to_dict(), synchronized=True)
+            conn.request("POST", "/submit", json.dumps(bad).encode())
+            resp = conn.getresponse()
+            assert resp.status == 400
+            assert "synchronized" in json.loads(resp.read())["error"]
+        finally:
+            conn.close()
     finally:
         asyncio.run_coroutine_threadsafe(svc.close(), loop).result(10)
         asyncio.run_coroutine_threadsafe(server.close(), loop).result(10)

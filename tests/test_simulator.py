@@ -212,7 +212,7 @@ class TestSimulate:
         g = build_cholesky_graph(12, 64, SymmetricBlockCyclic(4))
         m = self.small_machine(6)
         free = simulate(g, m)
-        sync = simulate(g, m, synchronized=True)
+        sync = simulate(g, m, scheduler="fork-join")
         assert sync.makespan >= free.makespan - 1e-9
 
     def test_critical_path_priorities_run(self):
