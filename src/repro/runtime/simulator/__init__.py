@@ -1,6 +1,6 @@
 """Discrete-event cluster simulator (StarPU-like runtime timing model)."""
 
-from .engine import SimReport, TaskTrace, TransferTrace, simulate
+from .engine import SimReport, simulate
 from .fast_engine import simulate_compiled
 from .network import Chunk, NetworkSim, Transfer
 from .analysis import (
@@ -14,8 +14,6 @@ __all__ = [
     "simulate",
     "simulate_compiled",
     "SimReport",
-    "TaskTrace",
-    "TransferTrace",
     "NetworkSim",
     "Transfer",
     "Chunk",

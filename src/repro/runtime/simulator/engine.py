@@ -33,13 +33,7 @@ from ...obs import Recorder, TaskEvent, TransferEvent
 from ..faults import FaultPlan, SimulatedFailure
 from .network import NetworkSim, Transfer
 
-__all__ = ["SimReport", "TaskTrace", "TransferTrace", "simulate"]
-
-#: Backwards-compatible names: the simulator's per-task / per-message
-#: trace records are now the shared observability events of
-#: :mod:`repro.obs.events` (same field names, plus kind/node/nbytes).
-TaskTrace = TaskEvent
-TransferTrace = TransferEvent
+__all__ = ["SimReport", "simulate"]
 
 
 @dataclass

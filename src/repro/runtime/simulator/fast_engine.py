@@ -19,13 +19,14 @@ the loop:
   arrays — boxed-number-free storage (8 bytes per entry instead of a
   pointer to a boxed number each) without duplicating the buffers.
 
-The event loop comes in two variants over the same lowered state.  The
-lean one serves the common configuration (no trace, no iteration
-barriers, no faults, default ready queue, no topology) with the ready
-path inlined, since it runs once per task at paper scale.  The general
-one handles every option, and each feature (dead-node parking, slowdown
-accounting, trace recording, barrier holds) is written once, in the
-``enqueue_ready`` closure.
+There is one event loop; each option (crashes, slowdowns, trace, custom
+ready queue, iteration barriers, loss and retry, tree forwarding, routed
+egress) sits behind a flag computed once before it.  The two per-task
+paths (a task becomes ready; an idle worker takes the next queued task)
+are inlined for the common configuration (``plain``).  Every other run
+calls the ``enqueue_ready`` and ``start_next`` closures, where crash
+accounting, dead-node parking, the custom queue, slowdown accounting,
+trace recording and barrier holds are each written once.
 
 The transcription is deliberately statement-by-statement faithful to the
 object engine, including the order in which events are pushed (the heap
@@ -61,7 +62,6 @@ def simulate_compiled(
     cg: CompiledGraph,
     machine: MachineSpec,
     durations: Optional[np.ndarray] = None,
-    auto_priorities: bool = True,
     trace: bool = False,
     broadcast: str = "direct",
     aggregate: bool = False,
@@ -71,11 +71,13 @@ def simulate_compiled(
 ) -> SimReport:
     """Simulate a compiled graph on ``machine``.
 
-    Accepts the same options as the object engine's ``simulate`` except
-    that custom task durations are passed as a per-task array
-    (``durations``) rather than a callable.  Returns the same
-    :class:`SimReport`, with bit-identical makespan/bytes/messages
-    (asserted in ``tests/test_compiled_engine.py``).
+    Takes the object engine's options with two differences: custom task
+    durations are a per-task array (``durations``: shape ``(n_tasks,)``,
+    finite, non-negative) rather than a callable, and there is no
+    ``auto_priorities`` switch: priorities come from the scheduler plan,
+    or from the critical-path sweep when ``cg.priority`` is all zero.
+    Returns the same :class:`SimReport`, with bit-identical
+    makespan/bytes/messages (asserted in ``tests/test_compiled_engine.py``).
 
     ``scheduler`` names a policy from :data:`repro.schedulers.POLICIES`
     (or passes a ``SchedulerInterface`` instance).  Plans are applied to
@@ -87,9 +89,8 @@ def simulate_compiled(
 
     A :class:`repro.runtime.faults.FaultPlan` produces bit-identical
     makespan/bytes/messages to the object engine under the same plan
-    (fault runs take the general loop and route every network quantum
-    through the shared :class:`NetworkSim` code so the injected wire
-    factors agree exactly).
+    (fault runs route every network quantum through the shared
+    :class:`NetworkSim` code so the injected wire factors agree exactly).
     """
     if broadcast not in ("direct", "tree"):
         raise ValueError(f"unknown broadcast mode {broadcast!r}")
@@ -113,6 +114,13 @@ def simulate_compiled(
             # ``duration_fn`` on the object engine).
             speed = np.asarray(mtopo.speed, dtype=np.float64)
             durations = durations / speed[cg.node]
+    else:
+        durations = np.asarray(durations, dtype=np.float64)
+        if (durations.shape != (n_tasks,) or not np.isfinite(durations).all()
+                or (durations < 0).any()):
+            raise ValueError(
+                f"durations must be finite, >= 0 and of shape ({n_tasks},); "
+                f"got shape {durations.shape}")
 
     # --- scheduler policy (repro.schedulers) --------------------------------
     # Applied before any lowering so node / priority columns and the comm
@@ -122,6 +130,7 @@ def simulate_compiled(
     # its own auto-priority sweep.
     cqueue = None
     synchronized = False
+    sweep = True  # no plan priorities: sweep an all-zero column
     if scheduler is not None:
         from ...schedulers import CompiledGraphView, get_policy
 
@@ -153,10 +162,10 @@ def simulate_compiled(
                 cg.priority[:] = prios  # the reassigned clone's private copy
             else:
                 cg = replace(cg, priority=prios)
-            auto_priorities = False
+            sweep = False
         if splan.queue_factory is not None:
             cqueue = splan.queue_factory(num_nodes, machine.cores)
-    if auto_priorities and not cg.priority.any():
+    if sweep and not cg.priority.any():
         cg.priority[:] = compiled_critical_path_priorities(cg, durations)
 
     plan = cg.comm_plan()
@@ -240,15 +249,13 @@ def simulate_compiled(
     # Per-pair transfer priority: max over the waiting tasks, exactly the
     # max() the object engine evaluates at request time.
     n_pairs = len(pair_dst)
-    if n_pairs:
+    pair_prio_arr = np.empty(n_pairs, dtype=np.float64)
+    if n_pairs:  # reduceat rejects an empty index list
         starts = plan.pair_rn_start
         order = np.argsort(starts, kind="stable")
-        red = np.maximum.reduceat(cg.priority[rn_arr], starts[order])
-        pair_prio_arr = np.empty(n_pairs, dtype=np.float64)
-        pair_prio_arr[order] = red
-        pair_prio = memoryview(pair_prio_arr)
-    else:
-        pair_prio = memoryview(np.empty(0, dtype=np.float64))
+        pair_prio_arr[order] = np.maximum.reduceat(cg.priority[rn_arr],
+                                                   starts[order])
+    pair_prio = memoryview(pair_prio_arr)
     # Deliveries resolve (data, dst) -> pair index by scanning the data's
     # kd slice (a handful of destinations) instead of a dict keyed on
     # data*num_nodes+dst: a few boxed compares per message in exchange
@@ -346,19 +353,47 @@ def simulate_compiled(
             rec.record_fault("degraded", time=ln.start, src=ln.src, dst=ln.dst,
                              detail=f"x{ln.factor} until {ln.end:g}")
 
-    def enqueue_ready(t: int, time: float) -> None:
+    # Option flags, fixed for the whole run.  ``plain``: the loop's
+    # inlined ready and next-task paths are exact, otherwise it calls
+    # ``enqueue_ready`` and ``start_next``.  ``routed``: fault and topology
+    # runs hand every quantum to the shared NetworkSim code, so injected
+    # wire factors and routed walks apply identically to both engines (the
+    # loop's inlined quantum server skips both).
+    plain = not (trace or synchronized or dead is not None or fault_slow
+                 or cqueue is not None)
+    routed = faults is not None or ctopo is not None
+    is_tree = broadcast == "tree"
+
+    def start(t: int, n: int, time: float) -> None:
+        """Start task ``t`` on a worker of node ``n`` at ``time``."""
         nonlocal seq
+        dur = dur_l[t]
+        if fault_slow:
+            dur *= faults.compute_factor(n, time)
+            busy_acc[n] += dur
+            tbk_acc[kind_l[t]] += dur
+        if trace:
+            rec.record_task(t, kind_names[kind_l[t]], n,
+                            ready_time[t], time, time + dur, cg.flops[t])
+        seq += 1
+        heappush(events, (time + dur, seq, 0, t))
+
+    def enqueue_ready(t: int, time: float) -> None:
         if trace:
             ready_time[t] = time
         if synchronized and ipos[t] > released_idx:
             iter_blocked[ipos[t]].append(t)
             return
         n = node_l[t]
-        if dead is not None and dead[n]:
-            # Fail-stopped node: park the task (mirrors engine.simulate).
-            if cqueue is not None:
-                cqueue.push(n, t, prio_l[t])
-                return
+        # A fail-stopped node parks the task (mirrors engine.simulate).
+        parked = dead is not None and dead[n]
+        if not parked and free[n] > 0:
+            free[n] -= 1
+            start(t, n, time)
+            return
+        if cqueue is not None:
+            cqueue.push(n, t, prio_l[t])
+        else:
             np_ = negprio_l[t]
             bq = buckets[n]
             b = bq.get(np_)
@@ -367,36 +402,42 @@ def simulate_compiled(
                 heappush(pheap[n], np_)
             else:
                 b.append(t)
-            return
-        if free[n] > 0:
-            free[n] -= 1
-            dur = dur_l[t]
-            if fault_slow:
-                dur *= faults.compute_factor(n, time)
-                busy_acc[n] += dur
-                tbk_acc[kind_l[t]] += dur
-            if trace:
-                rec.record_task(t, kind_names[kind_l[t]], n,
-                                ready_time[t], time, time + dur, cg.flops[t])
-            seq += 1
-            heappush(events, (time + dur, seq, 0, t))
+        if trace and not parked:
+            qlen[n] += 1
+            rec.metrics.gauge(
+                "queue.depth.max", "peak ready-queue depth per node"
+            ).set_max(qlen[n], labels=(n,))
+
+    def start_next(n: int, time: float) -> None:
+        """A task ended on node ``n``: start the node's next queued task."""
+        if crash_after is not None and not dead[n]:
+            completed_on[n] += 1
+            point = crash_after.get(n)
+            if point is not None and completed_on[n] >= point:
+                dead[n] = True
+                if trace:
+                    rec.record_fault("crash", time=time, node=n,
+                                     detail=f"after {completed_on[n]} tasks")
+        if dead is not None and dead[n]:
+            return  # no workers left on a fail-stopped node
+        if cqueue is not None:
+            t = cqueue.pop(n)
+        elif ph := pheap[n]:
+            np0 = ph[0]
+            bq = buckets[n]
+            b = bq[np0]
+            t = b.popleft()
+            if not b:
+                heappop(ph)
+                del bq[np0]
         else:
-            if cqueue is not None:
-                cqueue.push(n, t, prio_l[t])
-            else:
-                np_ = negprio_l[t]
-                bq = buckets[n]
-                b = bq.get(np_)
-                if b is None:
-                    bq[np_] = deque((t,))
-                    heappush(pheap[n], np_)
-                else:
-                    b.append(t)
-            if trace:
-                qlen[n] += 1
-                rec.metrics.gauge(
-                    "queue.depth.max", "peak ready-queue depth per node"
-                ).set_max(qlen[n], labels=(n,))
+            t = None
+        if t is None:
+            free[n] += 1
+            return
+        if trace:
+            qlen[n] -= 1
+        start(t, n, time)
 
     def launch(chunk) -> None:
         nonlocal seq
@@ -448,11 +489,10 @@ def simulate_compiled(
             kids = children.get(i)
             if kids:
                 tree_children[(d, ring[i])] = [ring[c] for c in kids]
+                for c in kids:
+                    _forward_prios[(d, ring[c])] = subtree_prio[c]
         for c in children[0]:
             _send(d, src, ring[c], subtree_prio[c], time)
-        for i in range(1, len(ring)):
-            for c in children.get(i, ()):
-                _forward_prios[(d, ring[c])] = subtree_prio[c]
 
     def release_iterations(time: float) -> None:
         nonlocal released_idx
@@ -474,351 +514,210 @@ def simulate_compiled(
 
     delivered_pairs = bytearray(n_pairs)
 
-    # The loop allocates only acyclic temporaries (event tuples, chunks),
-    # reclaimed by refcounting; with tens of millions of live ints in the
-    # lowered lists, letting the cyclic collector run full passes here
-    # costs more than the whole event loop.  The general loop calls
-    # ``enqueue_ready``; the lean loop inlines its two call sites, since
-    # the call itself (and the closure-cell reloads it forces) is
-    # measurable at ten million calls.
+    # One loop serves every option, each branch behind a flag fixed above.
+    # The ready and next-task paths are inlined behind ``plain``: the call
+    # (and the closure-cell reloads it forces) is measurable at ten
+    # million calls.  The loop allocates only acyclic temporaries (event
+    # tuples, chunks), reclaimed by refcounting; with tens of millions of
+    # live ints in the lowered lists, letting the cyclic collector run
+    # full passes here costs more than the loop.
+    _hpush = heappush
+    _hpop = heappop
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        if (trace or synchronized or faults is not None or cqueue is not None
-                or ctopo is not None):
-            while events:
-                now, _evseq, kind, payload = heappop(events)
-                if kind == 0:  # task completion
-                    t = payload
-                    n = node_l[t]
-                    if crash_after is not None and not dead[n]:
-                        completed_on[n] += 1
-                        point = crash_after.get(n)
-                        if point is not None and completed_on[n] >= point:
-                            dead[n] = True
-                            if trace:
-                                rec.record_fault(
-                                    "crash", time=now, node=n,
-                                    detail=f"after {completed_on[n]} tasks")
-                    if dead is not None and dead[n]:
-                        pass  # no workers left on a fail-stopped node
-                    else:
-                        if cqueue is not None:
-                            t2 = cqueue.pop(n)
-                        elif pheap[n]:
-                            ph = pheap[n]
-                            np0 = ph[0]
-                            bq = buckets[n]
-                            b2 = bq[np0]
-                            t2 = b2.popleft()
-                            if not b2:
-                                heappop(ph)
-                                del bq[np0]
+        while events:
+            now, _evseq, kind, payload = _hpop(events)
+            if kind == 0:  # task completion
+                t = payload
+                n = node_l[t]
+                if not plain:
+                    start_next(n, now)
+                elif ph := pheap[n]:
+                    np0 = ph[0]
+                    bq = buckets[n]
+                    b2 = bq[np0]
+                    t2 = b2.popleft()
+                    if not b2:
+                        _hpop(ph)
+                        del bq[np0]
+                    seq += 1
+                    _hpush(events, (now + dur_l[t2], seq, 0, t2))
+                else:
+                    free[n] += 1
+                d = t + n_init if write_dense else write_l[t]
+                if d >= 0:
+                    a = lc_ptr[d]
+                    b = lc_ptr[d + 1]
+                    if a != b:
+                        # most tiles have exactly one local consumer;
+                        # skip the slice allocation for that case
+                        for tid in ((lc_ids[a],) if b - a == 1
+                                    else lc_ids[a:b]):
+                            m = missing[tid] - 1
+                            missing[tid] = m
+                            if m != 0:
+                                continue
+                            if not plain:
+                                enqueue_ready(tid, now)
+                                continue
+                            n2 = node_l[tid]
+                            if free[n2] > 0:
+                                free[n2] -= 1
+                                seq += 1
+                                _hpush(events, (now + dur_l[tid], seq, 0, tid))
+                            else:
+                                np_ = negprio_l[tid]
+                                bq = buckets[n2]
+                                b3 = bq.get(np_)
+                                if b3 is None:
+                                    bq[np_] = deque((tid,))
+                                    _hpush(pheap[n2], np_)
+                                else:
+                                    b3.append(tid)
+                    if has_remote[d]:
+                        request_transfers(d, n, now)
+                if synchronized:
+                    iter_remaining[ipos[t]] -= 1
+                    release_iterations(now)
+            elif kind == 1:  # source egress channel freed
+                if routed:
+                    nxt = net.egress_freed(payload, now)
+                    if nxt is not None:
+                        launch(nxt)
+                    continue
+                # Statement-by-statement transcription of
+                # ``NetworkSim._serve`` + ``launch``: the per-quantum path
+                # runs millions of times and the call/Chunk overhead is
+                # measurable.  Covered by the engine-equality suite.
+                src_n = payload
+                queue = net_queues[src_n]
+                while queue:
+                    negprio, _s, tr = _hpop(queue)
+                    if negprio == -tr.priority:
+                        break
+                else:
+                    net_egress_busy[src_n] = False
+                    continue
+                remaining = tr.remaining
+                size = net_quantum if net_quantum < remaining else remaining
+                remaining -= size
+                tr.remaining = remaining
+                wire = size / net_bw
+                occupancy = wire if tr.started else wire + net_lat
+                tr.started = True
+                egress_done = now + occupancy
+                dst = tr.dst
+                ingress = net_ingress[dst] + wire
+                delivery = egress_done if egress_done > ingress else ingress
+                net_ingress[dst] = delivery
+                net_busy[src_n] += occupancy
+                if remaining:
+                    s2 = net._seq + 1
+                    net._seq = s2
+                    _hpush(queue, (-tr.priority, s2, tr))
+                else:
+                    tr.end = delivery
+                if trace and (tr.key, dst) not in first_chunk_start:
+                    first_chunk_start[(tr.key, dst)] = egress_done
+                seq += 1
+                _hpush(events, (egress_done, seq, 1, src_n))
+                if not remaining:
+                    seq += 1
+                    _hpush(events, (delivery, seq, 2, tr))
+            elif kind == 2:  # transfer delivered at the destination
+                tr = payload
+                if lost_fn is not None and lost_fn(tr.src, tr.dst):
+                    # Transient loss: the message evaporates in flight;
+                    # the sender retransmits after the plan's timeout.
+                    if trace:
+                        rec.record_fault(
+                            "loss", time=tr.end, src=tr.src, dst=tr.dst,
+                            key=(data_keys[tr.key] if data_keys is not None
+                                 else tr.key),
+                            detail="retry at "
+                            f"{tr.end + faults.retransmit_timeout:.6g}",
+                        )
+                    seq += 1
+                    _hpush(events,
+                           (tr.end + faults.retransmit_timeout, seq, 3, tr))
+                    continue
+                if trace:
+                    rec.record_transfer(
+                        key=data_keys[tr.key] if data_keys is not None else tr.key,
+                        src=tr.src,
+                        dst=tr.dst,
+                        nbytes=tr.nbytes,
+                        submitted=tr.submitted,
+                        started=first_chunk_start.get(
+                            (tr.key, tr.dst), tr.submitted
+                        ),
+                        delivered=tr.end,
+                    )
+                dst = tr.dst
+                end = tr.end
+                for d in tr.keys:
+                    p = kd_ptr[d]
+                    while pair_dst[p] != dst:
+                        p += 1
+                    if not delivered_pairs[p]:
+                        delivered_pairs[p] = 1
+                        s0 = rn_start[p]
+                        s1 = s0 + rn_count[p]
+                        if rn_vec:
+                            ids = rn_arr[s0:s1]
+                            vals = mi_view[ids]
+                            vals -= 1
+                            mi_view[ids] = vals
+                            newly = ids[vals == 0]
+                            ready_iter = newly.tolist() if len(newly) else ()
                         else:
-                            t2 = None
-                        if t2 is None:
-                            free[n] += 1
-                        else:
-                            if trace:
-                                qlen[n] -= 1
-                            dur = dur_l[t2]
-                            if fault_slow:
-                                dur *= faults.compute_factor(n, now)
-                                busy_acc[n] += dur
-                                tbk_acc[kind_l[t2]] += dur
-                            if trace:
-                                rec.record_task(t2, kind_names[kind_l[t2]], n,
-                                                ready_time[t2], now, now + dur,
-                                                cg.flops[t2])
-                            seq += 1
-                            heappush(events, (now + dur, seq, 0, t2))
-                    d = t + n_init if write_dense else write_l[t]
-                    if d >= 0:
-                        a = lc_ptr[d]
-                        b = lc_ptr[d + 1]
-                        if a != b:
-                            # most tiles have exactly one local consumer;
-                            # skip the slice allocation for that case
-                            for tid in ((lc_ids[a],) if b - a == 1
-                                        else lc_ids[a:b]):
+                            ready_iter = []
+                            for tid in rn_arr[s0:s1].tolist():
                                 m = missing[tid] - 1
                                 missing[tid] = m
                                 if m == 0:
-                                    enqueue_ready(tid, now)
-                        if has_remote[d]:
-                            request_transfers(d, n, now)
-                    if synchronized:
-                        iter_remaining[ipos[t]] -= 1
-                        release_iterations(now)
-                elif kind == 1:  # source egress channel freed
-                    if faults is not None or ctopo is not None:
-                        # Fault and topology runs take the shared NetworkSim
-                        # path so the injected wire factors / routed walks
-                        # apply identically to both engines (the
-                        # transcription below skips both).
-                        nxt = net.egress_freed(payload, now)
-                        if nxt is not None:
-                            launch(nxt)
-                        continue
-                    # Statement-by-statement transcription of
-                    # ``NetworkSim._serve`` + ``launch``: the per-quantum path
-                    # runs millions of times and the call/Chunk overhead is
-                    # measurable.  Covered by the engine-equality suite.
-                    src_n = payload
-                    queue = net_queues[src_n]
-                    while queue:
-                        negprio, _s, tr = heappop(queue)
-                        if negprio == -tr.priority:
-                            break
-                    else:
-                        net_egress_busy[src_n] = False
-                        continue
-                    remaining = tr.remaining
-                    size = net_quantum if net_quantum < remaining else remaining
-                    remaining -= size
-                    tr.remaining = remaining
-                    wire = size / net_bw
-                    occupancy = wire if tr.started else wire + net_lat
-                    tr.started = True
-                    egress_done = now + occupancy
-                    dst = tr.dst
-                    ingress = net_ingress[dst] + wire
-                    delivery = egress_done if egress_done > ingress else ingress
-                    net_ingress[dst] = delivery
-                    net_busy[src_n] += occupancy
-                    if remaining:
-                        s2 = net._seq + 1
-                        net._seq = s2
-                        heappush(queue, (-tr.priority, s2, tr))
-                    else:
-                        tr.end = delivery
-                    if trace and (tr.key, dst) not in first_chunk_start:
-                        first_chunk_start[(tr.key, dst)] = egress_done
-                    seq += 1
-                    heappush(events, (egress_done, seq, 1, src_n))
-                    if not remaining:
-                        seq += 1
-                        heappush(events, (delivery, seq, 2, tr))
-                elif kind == 3:  # retransmission of a lost message
-                    old = payload
-                    nt = Transfer(old.key, old.src, old.dst, old.nbytes,
-                                  old.priority)
-                    nt.keys = list(old.keys)  # preserve aggregated payloads
-                    if trace:
-                        rec.record_fault(
-                            "retry", time=now, src=old.src, dst=old.dst,
-                            key=(data_keys[old.key] if data_keys is not None
-                                 else old.key))
-                    started = net.submit(nt, now)
-                    if started is not None:
-                        launch(started)
-                else:  # transfer delivered at the destination
-                    tr = payload
-                    if lost_fn is not None and lost_fn(tr.src, tr.dst):
-                        # Transient loss: the message evaporates in flight;
-                        # the sender retransmits after the plan's timeout.
-                        if trace:
-                            rec.record_fault(
-                                "loss", time=tr.end, src=tr.src, dst=tr.dst,
-                                key=(data_keys[tr.key] if data_keys is not None
-                                     else tr.key),
-                                detail="retry at "
-                                f"{tr.end + faults.retransmit_timeout:.6g}",
-                            )
-                        seq += 1
-                        heappush(events,
-                                 (tr.end + faults.retransmit_timeout, seq, 3, tr))
-                        continue
-                    if trace:
-                        rec.record_transfer(
-                            key=data_keys[tr.key] if data_keys is not None else tr.key,
-                            src=tr.src,
-                            dst=tr.dst,
-                            nbytes=tr.nbytes,
-                            submitted=tr.submitted,
-                            started=first_chunk_start.get(
-                                (tr.key, tr.dst), tr.submitted
-                            ),
-                            delivered=tr.end,
-                        )
-                    dst = tr.dst
-                    end = tr.end
-                    for d in tr.keys:
-                        p = kd_ptr[d]
-                        while pair_dst[p] != dst:
-                            p += 1
-                        if not delivered_pairs[p]:
-                            delivered_pairs[p] = 1
-                            s0 = rn_start[p]
-                            s1 = s0 + rn_count[p]
-                            if rn_vec:
-                                ids = rn_arr[s0:s1]
-                                vals = mi_view[ids]
-                                vals -= 1
-                                mi_view[ids] = vals
-                                newly = ids[vals == 0]
-                                ready_iter = newly.tolist() if len(newly) else ()
-                            else:
-                                ready_iter = []
-                                for tid in rn_arr[s0:s1].tolist():
-                                    m = missing[tid] - 1
-                                    missing[tid] = m
-                                    if m == 0:
-                                        ready_iter.append(tid)
-                            # Enqueueing after all decrements is equivalent to
-                            # the object engine's interleaved order: enqueues
-                            # never read the counters, and the relative order
-                            # of the newly-ready tasks is the slice order.
-                            for tid in ready_iter:
+                                    ready_iter.append(tid)
+                        # Enqueueing after all decrements is equivalent to
+                        # the object engine's interleaved order: enqueues
+                        # never read the counters, and the relative order
+                        # of the newly-ready tasks is the slice order.
+                        for tid in ready_iter:
+                            if not plain:
                                 enqueue_ready(tid, end)
-                        for child in tree_children.pop((d, dst), ()):
-                            _send(
-                                d,
-                                dst,
-                                child,
-                                _forward_prios.pop((d, child), tr.priority),
-                                end,
-                            )
-        else:
-            # Lean variant of the loop above for the common untraced,
-            # unsynchronized case: identical statements minus the trace
-            # and barrier branches (the equality suite runs both paths).
-            _hpush = heappush
-            _hpop = heappop
-            is_tree = broadcast == "tree"
-            while events:
-                now, _evseq, kind, payload = _hpop(events)
-                if kind == 0:  # task completion
-                    t = payload
-                    n = node_l[t]
-                    ph = pheap[n]
-                    if ph:
-                        np0 = ph[0]
-                        bq = buckets[n]
-                        b2 = bq[np0]
-                        t2 = b2.popleft()
-                        if not b2:
-                            _hpop(ph)
-                            del bq[np0]
-                        seq += 1
-                        _hpush(events, (now + dur_l[t2], seq, 0, t2))
-                    else:
-                        free[n] += 1
-                    d = t + n_init if write_dense else write_l[t]
-                    if d >= 0:
-                        a = lc_ptr[d]
-                        b = lc_ptr[d + 1]
-                        if a != b:
-                            for tid in ((lc_ids[a],) if b - a == 1
-                                        else lc_ids[a:b]):
-                                m = missing[tid] - 1
-                                missing[tid] = m
-                                if m == 0:  # enqueue_ready(tid, now)
-                                    n2 = node_l[tid]
-                                    if free[n2] > 0:
-                                        free[n2] -= 1
-                                        seq += 1
-                                        _hpush(events,
-                                               (now + dur_l[tid], seq, 0, tid))
-                                    else:
-                                        np_ = negprio_l[tid]
-                                        bq = buckets[n2]
-                                        b3 = bq.get(np_)
-                                        if b3 is None:
-                                            bq[np_] = deque((tid,))
-                                            _hpush(pheap[n2], np_)
-                                        else:
-                                            b3.append(tid)
-                        if has_remote[d]:
-                            request_transfers(d, n, now)
-                elif kind == 1:  # source egress channel freed
-                    src_n = payload
-                    queue = net_queues[src_n]
-                    while queue:
-                        negprio, _s, tr = _hpop(queue)
-                        if negprio == -tr.priority:
-                            break
-                    else:
-                        net_egress_busy[src_n] = False
-                        continue
-                    remaining = tr.remaining
-                    size = (net_quantum if net_quantum < remaining
-                            else remaining)
-                    remaining -= size
-                    tr.remaining = remaining
-                    wire = size / net_bw
-                    occupancy = wire if tr.started else wire + net_lat
-                    tr.started = True
-                    egress_done = now + occupancy
-                    dst = tr.dst
-                    ingress = net_ingress[dst] + wire
-                    delivery = (egress_done if egress_done > ingress
-                                else ingress)
-                    net_ingress[dst] = delivery
-                    net_busy[src_n] += occupancy
-                    if remaining:
-                        s2 = net._seq + 1
-                        net._seq = s2
-                        _hpush(queue, (-tr.priority, s2, tr))
-                    else:
-                        tr.end = delivery
-                    seq += 1
-                    _hpush(events, (egress_done, seq, 1, src_n))
-                    if not remaining:
-                        seq += 1
-                        _hpush(events, (delivery, seq, 2, tr))
-                else:  # transfer delivered at the destination
-                    tr = payload
-                    dst = tr.dst
-                    end = tr.end
-                    for d in tr.keys:
-                        p = kd_ptr[d]
-                        while pair_dst[p] != dst:
-                            p += 1
-                        if not delivered_pairs[p]:
-                            delivered_pairs[p] = 1
-                            s0 = rn_start[p]
-                            s1 = s0 + rn_count[p]
-                            if rn_vec:
-                                ids = rn_arr[s0:s1]
-                                vals = mi_view[ids]
-                                vals -= 1
-                                mi_view[ids] = vals
-                                newly = ids[vals == 0]
-                                ready_iter = (newly.tolist() if len(newly)
-                                              else ())
+                                continue
+                            n2 = node_l[tid]
+                            if free[n2] > 0:
+                                free[n2] -= 1
+                                seq += 1
+                                _hpush(events, (end + dur_l[tid], seq, 0, tid))
                             else:
-                                ready_iter = []
-                                for tid in rn_arr[s0:s1].tolist():
-                                    m = missing[tid] - 1
-                                    missing[tid] = m
-                                    if m == 0:
-                                        ready_iter.append(tid)
-                            for tid in ready_iter:  # enqueue_ready(tid, end)
-                                n2 = node_l[tid]
-                                if free[n2] > 0:
-                                    free[n2] -= 1
-                                    seq += 1
-                                    _hpush(events,
-                                           (end + dur_l[tid], seq, 0, tid))
+                                np_ = negprio_l[tid]
+                                bq = buckets[n2]
+                                b3 = bq.get(np_)
+                                if b3 is None:
+                                    bq[np_] = deque((tid,))
+                                    _hpush(pheap[n2], np_)
                                 else:
-                                    np_ = negprio_l[tid]
-                                    bq = buckets[n2]
-                                    b3 = bq.get(np_)
-                                    if b3 is None:
-                                        bq[np_] = deque((tid,))
-                                        _hpush(pheap[n2], np_)
-                                    else:
-                                        b3.append(tid)
-                        if is_tree:
-                            for child in tree_children.pop((d, dst), ()):
-                                _send(
-                                    d,
-                                    dst,
-                                    child,
-                                    _forward_prios.pop((d, child), tr.priority),
-                                    end,
-                                )
+                                    b3.append(tid)
+                    if is_tree:
+                        for child in tree_children.pop((d, dst), ()):
+                            _send(d, dst, child,
+                                  _forward_prios.pop((d, child), tr.priority),
+                                  end)
+            else:  # kind 3: retransmission of a lost message
+                old = payload
+                nt = Transfer(old.key, old.src, old.dst, old.nbytes,
+                              old.priority)
+                nt.keys = list(old.keys)  # preserve aggregated payloads
+                if trace:
+                    rec.record_fault(
+                        "retry", time=now, src=old.src, dst=old.dst,
+                        key=(data_keys[old.key] if data_keys is not None
+                             else old.key))
+                started = net.submit(nt, now)
+                if started is not None:
+                    launch(started)
     finally:
         if gc_was_enabled:
             gc.enable()

@@ -84,8 +84,8 @@ class TestEngineEquality:
 
     @pytest.mark.parametrize("sync", [False, True])
     def test_synchronized_mode_matches(self, sync):
-        """Covers both loop variants (the barrier path is the general one);
-        barriers come from the fork-join policy."""
+        """Covers the inlined ready path and, through the barriers of the
+        fork-join policy, the ``enqueue_ready`` one."""
         g = build_cholesky_graph(10, 32, SymmetricBlockCyclic(4))
         cg = compile_graph(g)
         m = laptop(nodes=6, cores=2)
@@ -239,6 +239,41 @@ class TestFastEngineApi:
         unit = np.ones(cg.n_tasks)
         rep = simulate_compiled(cg, m, durations=unit)
         assert rep.makespan >= unit.sum() / (4 * 2)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda n: np.ones(n - 1),
+            lambda n: np.ones(n + 5),
+            lambda n: np.full(n, -1.0),
+            lambda n: np.full(n, np.nan),
+        ],
+        ids=["short", "long", "negative", "nan"],
+    )
+    def test_rejects_bad_durations(self, bad):
+        cg = compile_cholesky(6, 32, BlockCyclic2D(2, 2))
+        m = laptop(nodes=4, cores=2)
+        with pytest.raises(ValueError, match="durations"):
+            simulate_compiled(cg, m, durations=bad(cg.n_tasks))
+
+    @pytest.mark.parametrize("dist", [SymmetricBlockCyclic(4),
+                                      BlockCyclic2D(3, 3)],
+                             ids=lambda d: d.name)
+    @pytest.mark.parametrize("broadcast", ["direct", "tree"])
+    @pytest.mark.parametrize("aggregate", [False, True])
+    def test_trace_does_not_change_the_run(self, dist, broadcast, aggregate):
+        """A traced run takes ``enqueue_ready`` / ``start_next`` instead of
+        the inlined per-task paths; both must produce the same schedule."""
+        cg = compile_cholesky(12, 32, dist)
+        m = laptop(nodes=dist.num_nodes, cores=2)
+        plain = simulate_compiled(cg, m, broadcast=broadcast,
+                                  aggregate=aggregate)
+        traced = simulate_compiled(cg, m, broadcast=broadcast,
+                                   aggregate=aggregate, trace=True)
+        assert traced.makespan == plain.makespan
+        assert traced.comm_bytes == plain.comm_bytes
+        assert traced.comm_messages == plain.comm_messages
+        assert traced.busy_time == plain.busy_time
 
     def test_rejects_unknown_broadcast(self):
         cg = compile_cholesky(4, 32, BlockCyclic2D(2, 2))
